@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.2,
         help="sample-size scale; 1.0 = paper-sized runs (default 0.2)",
     )
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (>= 0)")
     parser.add_argument(
         "--classes",
         default=None,
@@ -381,6 +381,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     if args.scale <= 0:
         print("error: --scale must be positive", file=sys.stderr)
+        return 2
+    if args.seed < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
         return 2
     if args.profile and args.jobs != 1:
         print(

@@ -16,6 +16,7 @@ from repro.placement.optimal import (
     placement_gap,
 )
 from repro.placement.pool import (
+    DemandRows,
     NodePlacement,
     demand_weights,
     peak_cores_required,
@@ -26,6 +27,7 @@ from repro.placement.pool import (
 )
 
 __all__ = [
+    "DemandRows",
     "NodePlacement",
     "OptimalPlacement",
     "demand_weights",

@@ -33,12 +33,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from repro.placement.pool import NodePlacement, demand_weights, place_by_weights
-from repro.sched.base import SubframeJob
+from repro.placement.pool import (
+    DemandRows,
+    NodePlacement,
+    demand_weights,
+    place_by_weights,
+)
 
 #: Feasibility slack when auditing the solver's (floating-point) packing.
 _CAPACITY_EPS = 1e-6
@@ -201,7 +205,7 @@ def optimal_place_by_weights(
 
 
 def optimal_placement(
-    jobs: Sequence[SubframeJob],
+    demand: DemandRows,
     cores_per_node: int,
     quantile: float = 0.999,
     mip_rel_gap: float = 0.0,
@@ -210,7 +214,7 @@ def optimal_placement(
     if cores_per_node < 1:
         raise ValueError("cores_per_node must be >= 1")
     return optimal_place_by_weights(
-        demand_weights(jobs, quantile), cores_per_node, mip_rel_gap=mip_rel_gap
+        demand_weights(demand, quantile), cores_per_node, mip_rel_gap=mip_rel_gap
     )
 
 

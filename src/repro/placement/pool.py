@@ -11,33 +11,27 @@ utilization* (processing time / subframe period):
   fluctuations are rarely simultaneous, so the aggregate quantile is
   far below the sum of individual peaks (CloudIQ's ~22% saving [15]).
 
-The demand samples come from the same workload pipeline the schedulers
-use (load trace -> MCS -> Eq. (1) time), so provisioning and scheduling
-reason about identical workloads.
+Every function here takes *demand rows*: a mapping from basestation id
+to that cell's per-subframe demand in core utilization, one sample per
+subframe in trace order.  :meth:`repro.workload.soa.WorkloadArrays.
+demand_rows` reads them straight off the workload pipeline's serial-time
+column (load trace -> MCS -> Eq. (1) time), so provisioning and
+scheduling reason about identical workloads without materializing a job.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping
 
 import numpy as np
 
-from repro.constants import SUBFRAME_US
-from repro.sched.base import SubframeJob
+#: Per-basestation demand rows in core-utilization units.
+DemandRows = Mapping[int, np.ndarray]
 
 
-def _utilization_matrix(jobs: Sequence[SubframeJob]) -> Dict[int, np.ndarray]:
-    """Per-BS arrays of core utilization per subframe."""
-    per_bs: Dict[int, List[float]] = {}
-    for job in jobs:
-        demand = job.serial_time_us / SUBFRAME_US
-        per_bs.setdefault(job.subframe.bs_id, []).append(demand)
-    return {bs: np.array(values) for bs, values in per_bs.items()}
-
-
-def peak_cores_required(jobs: Sequence[SubframeJob], quantile: float = 0.999) -> int:
+def peak_cores_required(demand: DemandRows, quantile: float = 0.999) -> int:
     """Cores under per-basestation peak provisioning.
 
     Every basestation reserves enough cores for the ``quantile`` of its
@@ -45,47 +39,43 @@ def peak_cores_required(jobs: Sequence[SubframeJob], quantile: float = 0.999) ->
     be split across isolation boundaries).
     """
     _check_quantile(quantile)
-    per_bs = _utilization_matrix(jobs)
-    total = 0
-    for demand in per_bs.values():
-        total += max(1, math.ceil(float(np.quantile(demand, quantile))))
-    return total
+    return sum(
+        max(1, math.ceil(float(np.quantile(row, quantile)))) for row in demand.values()
+    )
 
 
-def pooled_cores_required(jobs: Sequence[SubframeJob], quantile: float = 0.999) -> int:
+def pooled_cores_required(demand: DemandRows, quantile: float = 0.999) -> int:
     """Cores when all basestations share one statistical reservation.
 
-    The aggregate is formed subframe-by-subframe, so every basestation
-    must contribute the same number of demand samples; truncating a
-    longer series would silently bias the aggregate quantile low.
+    The aggregate is formed subframe-by-subframe, summing cells in
+    ascending id order, so every basestation must contribute the same
+    number of demand samples; truncating a longer series would silently
+    bias the aggregate quantile low.
     """
     _check_quantile(quantile)
-    per_bs = _utilization_matrix(jobs)
-    if not per_bs:
+    if not demand:
         return 0
-    lengths = {bs: d.size for bs, d in per_bs.items()}
+    lengths = {bs: len(row) for bs, row in sorted(demand.items())}
     if len(set(lengths.values())) > 1:
-        detail = ", ".join(f"bs{bs}={n}" for bs, n in sorted(lengths.items()))
+        detail = ", ".join(f"bs{bs}={n}" for bs, n in lengths.items())
         raise ValueError(
             f"per-basestation demand series differ in length ({detail}); "
             "pooled aggregation needs one sample per basestation per subframe"
         )
-    aggregate = np.sum(list(per_bs.values()), axis=0)
+    aggregate = np.sum([demand[bs] for bs in sorted(demand)], axis=0)
     return max(1, math.ceil(float(np.quantile(aggregate, quantile))))
 
 
-def pooling_savings(jobs: Sequence[SubframeJob], quantile: float = 0.999) -> float:
+def pooling_savings(demand: DemandRows, quantile: float = 0.999) -> float:
     """Fractional compute saving of pooling over peak provisioning."""
-    peak = peak_cores_required(jobs, quantile)
-    pooled = pooled_cores_required(jobs, quantile)
+    peak = peak_cores_required(demand, quantile)
+    pooled = pooled_cores_required(demand, quantile)
     if peak == 0:
         return 0.0
     return 1.0 - pooled / peak
 
 
-def demand_weights(
-    jobs: Sequence[SubframeJob], quantile: float = 0.999
-) -> Dict[int, float]:
+def demand_weights(demand: DemandRows, quantile: float = 0.999) -> Dict[int, float]:
     """Per-basestation placement weight: the ``quantile`` of its demand.
 
     This is the additive per-cell weight both placers (greedy FFD and
@@ -96,10 +86,8 @@ def demand_weights(
     pooled requirement — the price of reducing placement to bin packing.
     """
     _check_quantile(quantile)
-    per_bs = _utilization_matrix(jobs)
     return {
-        bs: float(np.quantile(demand, quantile))
-        for bs, demand in sorted(per_bs.items())
+        bs: float(np.quantile(row, quantile)) for bs, row in sorted(demand.items())
     }
 
 
@@ -121,7 +109,7 @@ def place_by_weights(
 
     Cells are visited heaviest-first with ties broken by basestation id
     — *not* by mapping insertion order, which would make the placement
-    depend on the order the caller enumerated its jobs in (a
+    depend on the order the caller enumerated its cells in (a
     nondeterminism `repro.check` exists to forbid).
     """
     if cores_per_node <= 0:
@@ -150,7 +138,7 @@ def place_by_weights(
 
 
 def place_basestations(
-    jobs: Sequence[SubframeJob],
+    demand: DemandRows,
     cores_per_node: int,
     quantile: float = 0.999,
 ) -> NodePlacement:
@@ -163,7 +151,7 @@ def place_basestations(
     """
     if cores_per_node < 1:
         raise ValueError("cores_per_node must be >= 1")
-    return place_by_weights(demand_weights(jobs, quantile), cores_per_node)
+    return place_by_weights(demand_weights(demand, quantile), cores_per_node)
 
 
 def _check_quantile(quantile: float) -> None:

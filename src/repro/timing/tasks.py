@@ -16,9 +16,9 @@ recovery path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -184,7 +184,8 @@ class SubtaskArrays:
     ``offsets[i]:offsets[i + 1]`` is subframe ``i``'s subtask range;
     ``row`` maps each subtask back to its subframe;
     ``iterations``/``block_offsets`` carry the ragged per-code-block
-    draw exactly as the decode rows consume it.
+    draw exactly as the decode rows consume it.  Columns are read-only
+    once built.
     """
 
     num_antennas: int
@@ -202,6 +203,12 @@ class SubtaskArrays:
     iterations: np.ndarray  # ragged per-code-block draws, flattened
     block_offsets: np.ndarray  # (n + 1,) ranges into ``iterations``
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            column = getattr(self, f.name)
+            if isinstance(column, np.ndarray):
+                column.setflags(write=False)
+
     @property
     def num_subframes(self) -> int:
         return len(self.offsets) - 1
@@ -211,17 +218,24 @@ class SubtaskArrays:
         return len(self.kind)
 
     def materialize_works(
-        self, materializer: "WorkMaterializer", crc_pass: Sequence[bool]
+        self,
+        materializer: "WorkMaterializer",
+        crc_pass: Sequence[bool],
+        rows: Union[slice, np.ndarray] = slice(None),
     ) -> List[SubframeWork]:
-        """Lazily materialize the legacy :class:`SubframeWork` objects."""
-        mcs = self.mcs.tolist()
+        """Lazily materialize the legacy :class:`SubframeWork` objects.
+
+        ``rows`` (a slice or an index array) selects the subframes, in
+        the order given; the default is all of them.
+        """
+        mcs = self.mcs[rows].tolist()
+        starts = self.block_offsets[:-1][rows].tolist()
+        ends = self.block_offsets[1:][rows].tolist()
+        crc = np.asarray(crc_pass, dtype=bool)[rows].tolist()
         iters = self.iterations.tolist()
-        bounds = self.block_offsets.tolist()
         return [
-            materializer.work_for(
-                mcs[i], tuple(iters[bounds[i]:bounds[i + 1]]), bool(crc_pass[i])
-            )
-            for i in range(self.num_subframes)
+            materializer.work_for(m, tuple(iters[lo:hi]), c)
+            for m, lo, hi, c in zip(mcs, starts, ends, crc)
         ]
 
 

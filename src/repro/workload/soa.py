@@ -20,11 +20,13 @@ tables the duration oracle computed with the exact scalar formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.constants import SUBFRAME_US
 from repro.lte.grid import GridConfig
 from repro.lte.subframe import Subframe, interned_grant
 from repro.sched.base import CRanConfig, SubframeJob
@@ -45,7 +47,9 @@ class WorkloadArrays:
     legacy builder's ``(bs, subframe)`` loop order, so materialized
     jobs come out in the same sequence.  ``subtasks`` is the flat
     per-subtask SoA (durations, kinds, code-block indices) built in the
-    same pass.
+    same pass.  Every numpy column is read-only once built: one
+    instance feeds placement weights, pooling rows and every node's
+    materialization, so no consumer may mutate it under the others.
     """
 
     snr_db: float
@@ -63,9 +67,60 @@ class WorkloadArrays:
     block_offsets: np.ndarray
     subtasks: SubtaskArrays
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            column = getattr(self, f.name)
+            if isinstance(column, np.ndarray):
+                column.setflags(write=False)
+
     @property
     def num_jobs(self) -> int:
         return len(self.mcs)
+
+    @cached_property
+    def serial_us(self) -> np.ndarray:
+        """Per-subframe single-core time: ``SubframeJob.serial_time_us`` as a column.
+
+        One ``total_serial_us`` per distinct (MCS, iteration vector) —
+        the interned :class:`~repro.timing.tasks.SubframeWork` key —
+        computed by the same work objects the schedulers run, gathered
+        back per subframe, plus the platform noise.  Bit-equal to the
+        materialized jobs' ``serial_time_us``.
+        """
+        n = self.num_jobs
+        blocks = np.diff(self.block_offsets)
+        keys = np.zeros((n, 1 + int(blocks.max(initial=0))), dtype=np.int64)
+        keys[:, 0] = self.mcs
+        block_row = np.repeat(np.arange(n), blocks)
+        block_pos = np.arange(self.iterations.size) - self.block_offsets[block_row]
+        keys[block_row, 1 + block_pos] = self.iterations
+        # Group equal key rows: lexsort, then mark where a sorted row differs
+        # from its predecessor.  (``np.unique(axis=0)`` is ~10x slower.)
+        order = np.lexsort(keys.T[::-1])
+        ordered = keys[order]
+        starts = np.ones(n, dtype=bool)
+        np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+        group = np.empty(n, dtype=np.int64)
+        group[order] = np.cumsum(starts) - 1
+        works = self.subtasks.materialize_works(
+            WorkMaterializer(self.tables), self.crc_pass, order[starts]
+        )
+        totals = np.array([work.total_serial_us for work in works], dtype=np.float64)
+        serial = totals[group] + self.noise_us
+        serial.setflags(write=False)
+        return serial
+
+    def demand_rows(self) -> Dict[int, np.ndarray]:
+        """Per-basestation demand in core-utilization units, ascending id.
+
+        Row ``bs`` holds ``serial_us / SUBFRAME_US`` for that cell's
+        subframes in trace order — the input form of every
+        :mod:`repro.placement` provisioning and placement function.
+        """
+        utilization = self.serial_us / SUBFRAME_US
+        ids, starts = np.unique(self.bs_id, return_index=True)
+        rows = np.split(utilization, starts[1:])
+        return dict(zip(ids.tolist(), rows))
 
 
 def build_workload_arrays(
@@ -158,23 +213,37 @@ def build_workload_arrays(
     )
 
 
-def materialize_jobs(arrays: WorkloadArrays) -> List[SubframeJob]:
+def materialize_jobs(
+    arrays: WorkloadArrays, cells: Optional[Sequence[int]] = None
+) -> List[SubframeJob]:
     """Materialize the legacy job list from the columnar workload.
 
     Every frozen piece is interned — one grant per MCS, one
     :class:`~repro.timing.tasks.SubframeWork` per distinct
     (MCS, iteration vector, CRC) — so the job list allocates O(distinct)
     value objects instead of O(subframes).
+
+    With ``cells``, only those basestations' rows are materialized, in
+    workload order, with ids renumbered ``0..k-1`` by ascending global
+    id: one placed node's dense local view of a fleet.  Work and noise
+    are the globally drawn columns, unchanged — placement must never
+    perturb the workload (paired methodology).
     """
+    rows: Union[slice, np.ndarray] = slice(None)
+    bs_column = arrays.bs_id
+    if cells is not None:
+        ordered = np.unique(np.asarray(cells, dtype=np.int64))
+        rows = np.flatnonzero(np.isin(bs_column, ordered))
+        bs_column = np.searchsorted(ordered, bs_column[rows])
     grid = GridConfig(10.0)
     materializer = WorkMaterializer(arrays.tables)
-    works = arrays.subtasks.materialize_works(materializer, arrays.crc_pass)
-    mcs = arrays.mcs.tolist()
-    bs_id = arrays.bs_id.tolist()
-    index = arrays.subframe_index.tolist()
-    latency = arrays.transport_latency_us.tolist()
-    noise = arrays.noise_us.tolist()
-    load = arrays.load.tolist()
+    works = arrays.subtasks.materialize_works(materializer, arrays.crc_pass, rows)
+    mcs = arrays.mcs[rows].tolist()
+    bs_id = bs_column.tolist()
+    index = arrays.subframe_index[rows].tolist()
+    latency = arrays.transport_latency_us[rows].tolist()
+    noise = arrays.noise_us[rows].tolist()
+    load = arrays.load[rows].tolist()
     snr_db = arrays.snr_db
     grants = {
         m: interned_grant(m, arrays.num_prbs, arrays.num_antennas) for m in set(mcs)

@@ -1,5 +1,10 @@
 """Shared test helpers: hand-built subframe jobs with known durations."""
 
+import dataclasses
+
+import numpy as np
+
+from repro.constants import SUBFRAME_US
 from repro.lte.grid import GridConfig
 from repro.lte.subframe import Subframe, UplinkGrant
 from repro.sched.base import SubframeJob
@@ -20,3 +25,34 @@ def make_job(bs, index, mcs, iters, rtt=500.0, noise=0.0, antennas=2):
         bs_id=bs, index=index, grant=grant, transport_latency_us=rtt, grid=GridConfig(10.0)
     )
     return SubframeJob(subframe=sf, work=work, noise_us=noise, load=mcs / 27.0)
+
+
+# -- job-walking oracles for the array-native provisioning path --------------
+
+
+def demand_from_jobs(jobs):
+    """Per-BS core-utilization rows rebuilt by walking a job list.
+
+    The reference for :meth:`WorkloadArrays.demand_rows`: rows keyed in
+    first-appearance order, samples in job order.
+    """
+    per_bs = {}
+    for job in jobs:
+        per_bs.setdefault(job.subframe.bs_id, []).append(job.serial_time_us / SUBFRAME_US)
+    return {bs: np.array(values) for bs, values in per_bs.items()}
+
+
+def localize(jobs, cells):
+    """Keep ``cells``' jobs, renumbered 0..k-1 by ascending global id.
+
+    The reference for ``materialize_jobs(arrays, cells)``.
+    """
+    local_of = {bs: i for i, bs in enumerate(sorted(cells))}
+    return [
+        dataclasses.replace(
+            job,
+            subframe=dataclasses.replace(job.subframe, bs_id=local_of[job.subframe.bs_id]),
+        )
+        for job in jobs
+        if job.subframe.bs_id in local_of
+    ]

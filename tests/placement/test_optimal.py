@@ -9,15 +9,16 @@ from repro.placement import (
     place_by_weights,
     placement_gap,
 )
-from repro.sched import CRanConfig, build_workload
+from repro.sched import CRanConfig
+from repro.workload.soa import build_workload_arrays
 
 pytest.importorskip("scipy.optimize")
 
 
 @pytest.fixture(scope="module")
-def fleet_jobs():
+def fleet_demand():
     cfg = CRanConfig(transport_latency_us=500.0)
-    return build_workload(cfg, 1000, seed=21)
+    return build_workload_arrays(cfg, 1000, seed=21).demand_rows()
 
 
 class TestOptimalPlacement:
@@ -95,9 +96,9 @@ class TestOptimalPlacement:
         opt = optimal_place_by_weights({}, cores_per_node=2.0)
         assert opt.node_count == 0
 
-    def test_from_jobs_matches_greedy_weighting(self, fleet_jobs):
-        greedy = place_by_weights(demand_weights(fleet_jobs, 0.99), cores_per_node=3.0)
-        opt = optimal_placement(fleet_jobs, cores_per_node=3, quantile=0.99)
+    def test_from_jobs_matches_greedy_weighting(self, fleet_demand):
+        greedy = place_by_weights(demand_weights(fleet_demand, 0.99), cores_per_node=3.0)
+        opt = optimal_placement(fleet_demand, cores_per_node=3, quantile=0.99)
         assert opt.node_count <= greedy.node_count
 
 

@@ -23,7 +23,7 @@ from repro.placement import (
     pooled_cores_required,
 )
 
-from tests.helpers import make_job
+from tests.helpers import demand_from_jobs, make_job
 
 pytest.importorskip("scipy.optimize")
 
@@ -50,12 +50,12 @@ cell_grants = st.lists(
 @given(grants=cell_grants, quantile=st.sampled_from([0.9, 0.99, 0.999]))
 @settings(max_examples=25, deadline=None)
 def test_pooled_never_exceeds_peak(grants, quantile):
-    jobs = [
+    demand = demand_from_jobs(
         make_job(bs, index, mcs, [iters])
         for bs, (mcs, iters) in enumerate(grants)
         for index in range(8)
-    ]
-    assert pooled_cores_required(jobs, quantile) <= peak_cores_required(jobs, quantile)
+    )
+    assert pooled_cores_required(demand, quantile) <= peak_cores_required(demand, quantile)
 
 
 @given(weights=weight_dicts)

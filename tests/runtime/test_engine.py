@@ -110,6 +110,22 @@ class TestSerialRunner:
         with pytest.raises(ValueError):
             ExperimentRunner(jobs=1).run(["fig7"], scale=0.0)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_negative_seed_rejected_before_any_unit(self, scratch_registry, jobs):
+        calls = []
+
+        @register("_t-seed", "records its calls")
+        def _run(scale, seed):
+            calls.append(seed)
+            return ExperimentOutput("_t-seed", "t", "t", {})
+
+        finished = []
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ExperimentRunner(jobs=jobs).run(
+                ["_t-seed"], scale=1.0, seed=-5, on_result=finished.append
+            )
+        assert calls == [] and finished == []
+
 
 class TestParallelRunner:
     def test_sweep_decomposes_and_matches_serial(self, scratch_registry):

@@ -54,6 +54,15 @@ class TestCli:
         assert main(["fig4", "--scale", "0", "--no-cache"]) == 2
         assert "--scale" in capsys.readouterr().err
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        # Regression: a negative seed passed validation and died deep in
+        # numpy.SeedSequence with a traceback and exit 1.
+        assert main(["fig4", "--seed", "-5", "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "error: --seed must be >= 0, got -5"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_no_cache_flag(self, capsys):
         assert main(["fig7", "--scale", "0.01", "--no-cache"]) == 0
         assert "cache off" in capsys.readouterr().out
