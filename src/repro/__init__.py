@@ -21,14 +21,16 @@ Subpackages:
 * ``repro.timing`` — Eq. (1) timing model, task graphs, platform noise;
 * ``repro.transport`` — fronthaul/cloud/WARP latency models;
 * ``repro.sim`` — the discrete-event engine;
-* ``repro.sched`` — partitioned, global, and RT-OPEX schedulers;
+* ``repro.sched`` — the six scheduling policies and their runner;
 * ``repro.workload`` — cellular load traces and grant mapping;
 * ``repro.experiments`` — one driver per paper table/figure.
 """
 
 from repro.lte.subframe import Subframe, UplinkGrant
 from repro.sched import (
+    DEFAULT_DISPATCH_OVERHEAD_US,
     CRanConfig,
+    DelayAwareScheduler,
     GlobalScheduler,
     PartitionedScheduler,
     RtOpexScheduler,
@@ -46,6 +48,8 @@ __all__ = [
     "Subframe",
     "UplinkGrant",
     "CRanConfig",
+    "DEFAULT_DISPATCH_OVERHEAD_US",
+    "DelayAwareScheduler",
     "GlobalScheduler",
     "PartitionedScheduler",
     "RtOpexScheduler",

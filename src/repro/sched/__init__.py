@@ -1,20 +1,25 @@
-"""C-RAN schedulers: partitioned, global (FIFO/EDF), and RT-OPEX.
+"""C-RAN schedulers: the paper's five policies plus a delay-aware one.
 
-All three schedulers consume the same precomputed workload (so
+All six schedulers consume the same precomputed workload (so
 comparisons are paired) and produce :class:`~repro.sched.base.SchedulerResult`
 records.  The module map follows the paper's sec. 3:
 
 * :mod:`repro.sched.partitioned` — offline partitioned schedule,
   ``ceil(Tmax)`` cores per basestation, round-robin subframe placement;
-* :mod:`repro.sched.global_` — shared ring-buffer queue with an EDF
-  dispatcher and per-core cache-affinity penalties;
+* :mod:`repro.sched.cloudiq` — the partitioned schedule behind a WCET
+  admission test (CloudIQ, Table 2);
+* :mod:`repro.sched.pran` — PRAN-style subtask splitting planned before
+  reception, with no runtime adaptation (Table 2);
+* :mod:`repro.sched.shared_queue` — one shared ring-buffer queue
+  dispatching to idle cores with per-core cache-affinity penalties,
+  under two queue disciplines: the global scheduler's EDF and the
+  delay-aware mixed-service baseline's (``das``) budget-criticality ×
+  channel-quality order;
 * :mod:`repro.sched.migration` — Algorithm 1, the greedy migration
   planner (pure function, property-tested);
 * :mod:`repro.sched.rtopex` — RT-OPEX: partitioned base schedule plus
   opportunistic migration of FFT/decode subtasks into idle-core gaps,
   with the recovery path for preempted migrations;
-* :mod:`repro.sched.das` — delay-aware shared-queue baseline for the
-  mixed-service scenario (budget-criticality × channel-quality order);
 * :mod:`repro.sched.runner` — workload construction and the
   one-call-per-experiment entry points.
 """
@@ -26,13 +31,16 @@ from repro.sched.base import (
     SubframeRecord,
 )
 from repro.sched.cloudiq import CloudIqScheduler
-from repro.sched.das import DelayAwareScheduler
-from repro.sched.global_ import GlobalScheduler
 from repro.sched.migration import MigrationDecision, plan_migration
 from repro.sched.partitioned import PartitionedScheduler
 from repro.sched.pran import PranScheduler
 from repro.sched.rtopex import RtOpexScheduler
 from repro.sched.runner import build_workload, run_scheduler
+from repro.sched.shared_queue import (
+    DEFAULT_DISPATCH_OVERHEAD_US,
+    DelayAwareScheduler,
+    GlobalScheduler,
+)
 
 __all__ = [
     "CRanConfig",
@@ -40,6 +48,7 @@ __all__ = [
     "SubframeJob",
     "SubframeRecord",
     "CloudIqScheduler",
+    "DEFAULT_DISPATCH_OVERHEAD_US",
     "DelayAwareScheduler",
     "GlobalScheduler",
     "MigrationDecision",

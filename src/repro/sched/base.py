@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -207,6 +207,28 @@ class SubframeRecord:
         if self.migrated_override is not None:
             return self.migrated_override
         return sum(m.num_subtasks for m in self.migrations)
+
+
+def record_for(job: SubframeJob, **overrides: Any) -> SubframeRecord:
+    """A fresh record of ``job``'s identity; ``overrides`` set known outcome fields."""
+    sf = job.subframe
+    return SubframeRecord(
+        bs_id=sf.bs_id,
+        index=sf.index,
+        mcs=sf.grant.mcs,
+        load=job.load,
+        arrival_us=job.arrival_us,
+        deadline_us=job.deadline_us,
+        iterations=job.work.iterations,
+        crc_pass=job.work.crc_pass,
+        service=job.service,
+        **overrides,
+    )
+
+
+def arrival_order(jobs: Iterable[SubframeJob]) -> List[SubframeJob]:
+    """``jobs`` by arrival time, simultaneous arrivals by basestation."""
+    return sorted(jobs, key=lambda j: (j.arrival_us, j.subframe.bs_id))
 
 
 class SchedulerResult:

@@ -25,8 +25,8 @@ from repro.sched.base import (
     CRanConfig,
     SchedulerResult,
     SubframeJob,
-    SubframeRecord,
     assigned_core_for,
+    record_for,
 )
 from repro.sched.partitioned import PartitionedScheduler
 from repro.timing.model import LinearTimingModel
@@ -71,23 +71,16 @@ class CloudIqScheduler(PartitionedScheduler):
                     job.arrival_us, core, True, sf.bs_id, sf.index,
                     drop_stage="admission", service=job.service,
                 )
-            record = SubframeRecord(
-                bs_id=sf.bs_id,
-                index=sf.index,
-                mcs=sf.grant.mcs,
-                load=job.load,
-                arrival_us=job.arrival_us,
-                deadline_us=job.deadline_us,
-                start_us=job.arrival_us,
-                finish_us=job.arrival_us,
-                missed=True,
-                dropped=True,
-                drop_stage="admission",
-                iterations=job.work.iterations,
-                crc_pass=job.work.crc_pass,
-                service=job.service,
+            result.records.append(
+                record_for(
+                    job,
+                    start_us=job.arrival_us,
+                    finish_us=job.arrival_us,
+                    missed=True,
+                    dropped=True,
+                    drop_stage="admission",
+                )
             )
-            result.records.append(record)
         result.records.sort(key=lambda r: (r.index, r.bs_id))
         return result
 

@@ -44,8 +44,10 @@ from repro.sched.base import (
     SchedulerResult,
     SubframeJob,
     SubframeRecord,
+    arrival_order,
     assigned_core_for,
     next_partitioned_activation,
+    record_for,
 )
 from repro.sim.engine import Simulator
 from repro.timing.platform import PlatformNoiseModel
@@ -132,7 +134,7 @@ class RtOpexScheduler:
         # migrated batches (equals the planned activations when the
         # transport delay is fixed).
         core_arrivals: Dict[int, List[float]] = {c: [] for c in range(num_cores)}
-        ordered_jobs = sorted(jobs, key=lambda j: (j.arrival_us, j.subframe.bs_id))
+        ordered_jobs = arrival_order(jobs)
         for job in ordered_jobs:
             core = assigned_core_for(job, config.cores_per_bs)
             core_arrivals[core].append(job.arrival_us)
@@ -495,18 +497,7 @@ class RtOpexScheduler:
             idx = arrival_cursor[me] = arrival_cursor[me] + 1
             arrivals = core_arrivals[me]
             core_arrival[me] = arrivals[idx] if idx < len(arrivals) else math.inf
-            record = SubframeRecord(
-                bs_id=sf.bs_id,
-                index=sf.index,
-                mcs=sf.grant.mcs,
-                load=job.load,
-                arrival_us=job.arrival_us,
-                deadline_us=job.deadline_us,
-                core_id=me,
-                iterations=job.work.iterations,
-                crc_pass=job.work.crc_pass,
-                service=job.service,
-            )
+            record = record_for(job, core_id=me)
             records.append(record)
             now = max(job.arrival_us, busy_until[me])
             record.queue_delay_us = now - job.arrival_us

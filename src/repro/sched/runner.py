@@ -13,16 +13,18 @@ policies over the *same* job list.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.lte.grid import GridConfig
 from repro.lte.subframe import Subframe
 from repro.sched.base import CRanConfig, SchedulerResult, SubframeJob
-from repro.sched.global_ import GlobalScheduler
+from repro.sched.cloudiq import CloudIqScheduler
 from repro.sched.partitioned import PartitionedScheduler
+from repro.sched.pran import PranScheduler
 from repro.sched.rtopex import RtOpexScheduler
+from repro.sched.shared_queue import DelayAwareScheduler, GlobalScheduler
 from repro.sim.rng import RngStreams
 from repro.timing.iterations import IterationModel
 from repro.timing.model import LinearTimingModel
@@ -179,10 +181,17 @@ def build_workload_legacy(
     return jobs
 
 
-#: Schedulers that accept a ``trace=`` keyword — all six policies.
-TRACEABLE_SCHEDULERS = (
-    "partitioned", "global", "rt-opex", "rtopex", "pran", "cloudiq", "das"
-)
+#: Scheduler name -> (class, RNG stream it draws from; None if it draws none).
+#: ``rtopex`` is an alias of ``rt-opex``.
+SCHEDULERS: Dict[str, Tuple[Callable[..., Any], Optional[str]]] = {
+    "partitioned": (PartitionedScheduler, None),
+    "global": (GlobalScheduler, "global"),
+    "rt-opex": (RtOpexScheduler, "rtopex"),
+    "rtopex": (RtOpexScheduler, "rtopex"),
+    "pran": (PranScheduler, "pran"),
+    "cloudiq": (CloudIqScheduler, None),
+    "das": (DelayAwareScheduler, "das"),
+}
 
 
 def run_scheduler(
@@ -196,11 +205,12 @@ def run_scheduler(
 ) -> SchedulerResult:
     """Run one scheduler over a prepared job list.
 
-    ``name`` is one of ``partitioned``, ``global`` (respects
-    ``config.num_cores``), ``rt-opex``, ``pran``, ``cloudiq``, or
-    ``das`` (the delay-aware mixed-service baseline; also respects
-    ``config.num_cores``); extra keyword arguments are forwarded to the
-    scheduler constructor.
+    ``name`` is a key of :data:`SCHEDULERS`: ``partitioned``,
+    ``global`` (respects ``config.num_cores``), ``rt-opex`` (alias
+    ``rtopex``), ``pran``, ``cloudiq``, or ``das`` (the delay-aware
+    mixed-service baseline; also respects ``config.num_cores``); any
+    other name raises :class:`ValueError` before a trace run is opened.
+    Extra keyword arguments are forwarded to the scheduler constructor.
 
     When an ambient tracer is installed (see :mod:`repro.obs`), each
     invocation opens its own :class:`~repro.obs.trace.RunTrace` — one
@@ -227,15 +237,16 @@ def run_scheduler(
     from repro.check.sanitizer import SanitizingTrace, sanitize_enabled
     from repro.obs.events import resolve_kinds
     from repro.obs.trace import RunTrace, TeeRunTrace, get_tracer
-    from repro.sched.cloudiq import CloudIqScheduler
-    from repro.sched.pran import PranScheduler
 
+    if name not in SCHEDULERS:
+        raise ValueError(f"unknown scheduler {name!r}")
+    cls, stream = SCHEDULERS[name]
     if sanitize is None:
         sanitize = sanitize_enabled()
     tracer = get_tracer()
     capture_run: Optional[RunTrace] = None
     sanitizing_run: Optional[SanitizingTrace] = None
-    if name in TRACEABLE_SCHEDULERS and "trace" not in kwargs:
+    if "trace" not in kwargs:
         label = (
             f"{name} rtt={config.transport_latency_us:g}us "
             f"cores={config.total_cores}"
@@ -263,23 +274,8 @@ def run_scheduler(
         elif targets:
             kwargs["trace"] = targets[0]
 
-    streams = RngStreams(seed)
-    if name == "partitioned":
-        result = PartitionedScheduler(config, **kwargs).run(jobs)
-    elif name == "global":
-        result = GlobalScheduler(config, rng=streams.stream("global"), **kwargs).run(jobs)
-    elif name in ("rt-opex", "rtopex"):
-        result = RtOpexScheduler(config, rng=streams.stream("rtopex"), **kwargs).run(jobs)
-    elif name == "pran":
-        result = PranScheduler(config, rng=streams.stream("pran"), **kwargs).run(jobs)
-    elif name == "cloudiq":
-        result = CloudIqScheduler(config, **kwargs).run(jobs)
-    elif name == "das":
-        from repro.sched.das import DelayAwareScheduler
-
-        result = DelayAwareScheduler(config, rng=streams.stream("das"), **kwargs).run(jobs)
-    else:
-        raise ValueError(f"unknown scheduler {name!r}")
+    rng = {} if stream is None else {"rng": RngStreams(seed).stream(stream)}
+    result = cls(config, **rng, **kwargs).run(jobs)
     if sanitizing_run is not None:
         # End-of-run validation (dangling migration batches) + attestation.
         sanitizing_run.finish()

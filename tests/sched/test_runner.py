@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.obs import Tracer, tracing
 from repro.sched import build_workload, run_scheduler
-from repro.sched.runner import compare_schedulers
+from repro.sched.runner import SCHEDULERS, compare_schedulers
 
 
 class TestBuildWorkload:
@@ -65,10 +66,29 @@ class TestRunScheduler:
         with pytest.raises(ValueError):
             run_scheduler("round-robin", small_config, small_workload)
 
+    def test_unknown_scheduler_opens_no_trace_run(self, small_config, small_workload):
+        tracer = Tracer()
+        with tracing(tracer), pytest.raises(ValueError):
+            run_scheduler("round-robin", small_config, small_workload)
+        assert len(tracer) == 0
+
+    def test_registered_names(self):
+        assert sorted(SCHEDULERS) == sorted(
+            ("partitioned", "global", "rt-opex", "rtopex", "pran", "cloudiq", "das")
+        )
+
     def test_all_names_resolve(self, small_config, small_workload):
-        for name in ("partitioned", "global", "rt-opex", "rtopex"):
+        for name in SCHEDULERS:
             result = run_scheduler(name, small_config, small_workload)
             assert len(result.records) == len(small_workload)
+
+    def test_rtopex_alias_identical(self, small_config, small_workload):
+        alias = run_scheduler("rtopex", small_config, small_workload, seed=5)
+        canonical = run_scheduler("rt-opex", small_config, small_workload, seed=5)
+        assert alias.scheduler_name == canonical.scheduler_name
+        # repr, not ==: unset gap/finish fields are NaN.
+        assert [repr(r) for r in alias.records] == [repr(r) for r in canonical.records]
+        assert alias.core_busy_us == canonical.core_busy_us
 
     def test_compare_is_paired(self, small_config, small_workload):
         results = compare_schedulers(small_config, small_workload)
