@@ -27,6 +27,14 @@ def make_job(bs, index, mcs, iters, rtt=500.0, noise=0.0, antennas=2):
     return SubframeJob(subframe=sf, work=work, noise_us=noise, load=mcs / 27.0)
 
 
+def with_budgets(jobs, budgets):
+    """``jobs`` with per-job delay budgets (µs after air time), as service classes set."""
+    return [
+        dataclasses.replace(job, deadline_override_us=job.subframe.air_time_us + budget)
+        for job, budget in zip(jobs, budgets)
+    ]
+
+
 # -- job-walking oracles for the array-native provisioning path --------------
 
 
