@@ -16,9 +16,12 @@ even when medians pass) and the provenance the numbers were taken
 under: git SHA and dirty flag, a hash of the ``src/repro`` sources,
 CPU model, core count, the python/numpy/scipy versions and a timestamp.
 
-``compare`` fails (exit 1) when any benchmark present in the baseline
-regresses by more than ``--threshold`` (default 30%) or disappeared
-from the fresh run; new benchmarks in the fresh run are reported but
+``compare`` first prints both captures' provenance (CPU model, core
+count, python/numpy versions) and warns ``machine mismatch`` when the
+CPU model or core count differs or was not recorded; the gate is the
+same either way.  It fails (exit 1) when any benchmark present in the
+baseline regresses by more than ``--threshold`` (default 30%) or
+disappeared from the fresh run; new benchmarks in the fresh run are reported but
 never fail the gate.  Faster-than-baseline results print as
 improvements — commit a fresh capture to ratchet the baseline forward.
 """
@@ -234,6 +237,39 @@ def capture(out: Optional[str], pytest_args: Optional[List[str]] = None) -> Path
     return path
 
 
+#: Provenance fields that identify the machine; a difference in either
+#: makes a median comparison between the two captures suspect.
+MACHINE_FIELDS = ("cpu_model", "nproc")
+
+
+def describe_provenance(label: str, capture: Dict[str, object]) -> str:
+    """One line: the machine and toolchain a capture was taken on."""
+    prov = capture.get("provenance") or {}
+    versions = prov.get("versions") or {}
+    return (
+        f"{label}: cpu={prov.get('cpu_model', 'unknown')!s} "
+        f"nproc={prov.get('nproc', 'unknown')!s} "
+        f"python={versions.get('python', 'unknown')!s} "
+        f"numpy={versions.get('numpy', 'unknown')!s} "
+        f"git={prov.get('git_sha') or capture.get('git_sha', 'unknown')!s}"
+    )
+
+
+def machine_mismatch(
+    baseline: Dict[str, object], fresh: Dict[str, object]
+) -> List[str]:
+    """The machine fields that differ (or are unrecorded) between captures."""
+    base_prov = baseline.get("provenance") or {}
+    fresh_prov = fresh.get("provenance") or {}
+    return [
+        f"{name} {base_prov.get(name, 'unknown')!s} vs {fresh_prov.get(name, 'unknown')!s}"
+        for name in MACHINE_FIELDS
+        if name not in base_prov
+        or name not in fresh_prov
+        or base_prov[name] != fresh_prov[name]
+    ]
+
+
 def compare(
     baseline_path: str,
     fresh_path: str,
@@ -244,6 +280,13 @@ def compare(
         baseline = json.load(handle)
     with open(fresh_path) as handle:
         fresh = json.load(handle)
+    # Informational only: the gate below is the same either way.
+    print(describe_provenance("baseline", baseline))
+    print(describe_provenance("fresh", fresh))
+    mismatch = machine_mismatch(baseline, fresh)
+    if mismatch:
+        print(f"warning: machine mismatch ({'; '.join(mismatch)}): "
+              "median ratios compare different hardware")
     base_table = baseline.get("benchmarks", {})
     fresh_table = fresh.get("benchmarks", {})
     if delta_out:

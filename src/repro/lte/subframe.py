@@ -9,8 +9,8 @@ time at the compute node (subframe boundary + transport latency).
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.constants import RX_BUDGET_US, SUBFRAME_US
 from repro.lte.grid import GridConfig
@@ -107,17 +107,23 @@ class Subframe:
     transport_latency_us: float = 0.0
     grid: GridConfig = field(default_factory=GridConfig)
 
-    @cached_property
+    # The three times below are plain properties, not cached: the job
+    # caches its own arrival and deadline, so the schedulers do not
+    # read these per step, and a cached value here would grow every
+    # subframe's ``__dict__`` past its shared-key size (about 400 bytes
+    # per subframe).
+
+    @property
     def air_time_us(self) -> float:
         """Time the subframe is fully received at the radio (end of SF)."""
         return self.index * SUBFRAME_US
 
-    @cached_property
+    @property
     def arrival_us(self) -> float:
         """Time the subframe becomes available at the compute node."""
         return self.air_time_us + self.transport_latency_us
 
-    @cached_property
+    @property
     def deadline_us(self) -> float:
         """Absolute processing deadline.
 

@@ -262,12 +262,12 @@ class ExperimentRunner:
         returned list is always in ``ids`` order.  ``options`` are
         forwarded to each experiment that declares them (undeclared
         options are dropped per-experiment, so a batch mixing
-        option-aware and plain experiments works).  A non-positive
-        ``scale`` or a negative ``seed`` raises ``ValueError`` before any
-        unit starts.
+        option-aware and plain experiments works).  A non-positive or
+        non-finite ``scale`` or a negative ``seed`` raises ``ValueError``
+        before any unit starts.
         """
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"scale must be a positive finite number, got {scale}")
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
         experiments = [get_experiment(experiment_id) for experiment_id in ids]

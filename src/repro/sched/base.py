@@ -11,7 +11,6 @@ paper's trace-replay methodology.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -25,6 +24,7 @@ from repro.constants import (
     RX_BUDGET_US,
     SUBFRAME_US,
 )
+from repro.lazy import lazy_property
 from repro.lte.subframe import Subframe
 from repro.timing.tasks import SubframeWork
 
@@ -52,8 +52,12 @@ class CRanConfig:
             raise ValueError("num_basestations must be >= 1")
         if self.cores_per_bs < 1:
             raise ValueError("cores_per_bs must be >= 1")
-        if self.transport_latency_us < 0:
-            raise ValueError("transport_latency_us must be >= 0")
+        if not (math.isfinite(self.transport_latency_us) and self.transport_latency_us >= 0):
+            raise ValueError(
+                f"transport_latency_us must be finite and >= 0, got {self.transport_latency_us}"
+            )
+        if not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
 
     @property
     def total_cores(self) -> int:
@@ -105,24 +109,24 @@ class SubframeJob:
     deadline_override_us: Optional[float] = None
     service: str = "embb"
 
-    @cached_property
+    @lazy_property
     def arrival_us(self) -> float:
         if self.arrival_override_us is not None:
             return self.arrival_override_us
         return self.subframe.arrival_us
 
-    @cached_property
+    @lazy_property
     def deadline_us(self) -> float:
         if self.deadline_override_us is not None:
             return self.deadline_override_us
         return self.subframe.deadline_us
 
-    @cached_property
+    @lazy_property
     def serial_time_us(self) -> float:
         """Single-core execution time including platform noise."""
         return self.work.total_serial_us + self.noise_us
 
-    @cached_property
+    @lazy_property
     def delay_budget_us(self) -> float:
         """Packet delay budget: deadline relative to over-the-air receipt.
 
@@ -133,16 +137,8 @@ class SubframeJob:
 
     @property
     def optimistic_time_us(self) -> float:
-        """Lower bound used by the slack check: L = 1 on every block."""
-        decode = self.work.decode_task
-        best_subtask = min((s.duration_us / i for s, i in
-                            zip(decode.subtasks, self.work.iterations)), default=0.0)
-        if decode.subtasks:
-            optimistic_decode = decode.serial_us + best_subtask * len(decode.subtasks)
-        else:
-            optimistic_decode = decode.serial_us
-        other = sum(t.serial_duration_us for t in self.work.tasks[:-1])
-        return other + optimistic_decode
+        """Lower bound used by the shared-queue slack check (cached on the work)."""
+        return self.work.tables.optimistic_time_us
 
 
 @dataclass

@@ -102,50 +102,43 @@ class PartitionedScheduler:
         busy: Optional[Dict[int, float]] = None,
         trace: Optional[RunTrace] = None,
     ) -> float:
-        """Serial task-by-task execution with slack checks; returns finish."""
+        """Serial task-by-task execution with slack checks; returns finish.
+
+        The slack check compares each task's model-based lower bound
+        with the remaining slack.  FFT/demod are deterministic; decode's
+        bound assumes one iteration per code block (L = 1), so a drop
+        happens only when the deadline is unreachable even in the best
+        case.
+        """
         now = start
         deadline = job.deadline_us
         noise_left = job.noise_us
         core = record.core_id
+        decode_lower_bound_us = job.work.tables.decode_lower_bound_us
+        slack_check = self.config.drop_on_slack_check
         for task in job.work.tasks:
-            duration = task.serial_duration_us
-            if task.name == "demod":
+            name = task.name
+            duration = optimistic = task.serial_duration_us
+            if name == "demod":
                 # The platform error E lands on the owning thread's
                 # serial path; demod is the always-serial stage.
                 duration += noise_left
                 noise_left = 0.0
-            if self.config.drop_on_slack_check:
-                optimistic = self._optimistic_task_time(job, task.name)
-                if now + optimistic > deadline:
-                    record.dropped = True
-                    record.drop_stage = task.name
-                    record.missed = True
-                    return now  # the remaining gap is not used (sec. 4.1)
+            elif name == "decode":
+                optimistic = decode_lower_bound_us
+            if slack_check and now + optimistic > deadline:
+                record.dropped = True
+                record.drop_stage = name
+                record.missed = True
+                return now  # the remaining gap is not used (sec. 4.1)
             end = now + duration
             executed_until = min(end, deadline)
             if busy is not None and executed_until > now:
                 busy[core] = busy.get(core, 0.0) + (executed_until - now)
             if trace is not None:
-                trace.task(core, task.name, now, executed_until, record.bs_id, record.index)
+                trace.task(core, name, now, executed_until, record.bs_id, record.index)
             now = end
             if now > deadline:
                 record.missed = True
                 return deadline  # terminated at the deadline
         return now
-
-    def _optimistic_task_time(self, job: SubframeJob, task_name: str) -> float:
-        """Model-based lower bound on a task's execution time.
-
-        FFT/demod are deterministic; decode's bound assumes one
-        iteration per code block (L = 1), so a drop happens only when
-        the deadline is unreachable even in the best case.
-        """
-        task = job.work.task(task_name)
-        if task_name != "decode":
-            return task.serial_duration_us
-        if not task.subtasks:
-            return task.serial_duration_us
-        one_iter_total = sum(
-            s.duration_us / l for s, l in zip(task.subtasks, job.work.iterations)
-        )
-        return task.serial_us + one_iter_total

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from repro.sched.base import (
 )
 from repro.sim.engine import Simulator
 from repro.timing.platform import PlatformNoiseModel
+from repro.timing.tasks import TaskSpec
 
 #: Fixed cost of the first migration to a helper core (shared-state fetch).
 DEFAULT_BATCH_OVERHEAD_US = 20.0
@@ -58,17 +59,22 @@ DEFAULT_BATCH_OVERHEAD_US = 20.0
 DEFAULT_SUBTASK_OVERHEAD_US = 0.5
 
 
-@dataclass(frozen=True)
-class _BatchOutcome:
-    """Result of executing one migrated batch on a helper core."""
+class _BatchOutcome(NamedTuple):
+    """Result of executing one migrated batch on a helper core.
 
-    target_core: int
-    num_subtasks: int
+    A ``NamedTuple``, like :class:`~repro.sched.migration.MigrationDecision`:
+    one is built per migrated batch, and tuple construction is a single
+    C call where a frozen dataclass pays ``object.__setattr__`` per field.
+    """
+
     completed: int
     ready_time: float  # when the last *completed* subtask's flag was set
     recovered_durations: Tuple[float, ...]  # actual times of unfinished subtasks
-    planned_us: float
     actual_us: float
+
+
+#: Sort key of a ``(core, fck)`` window: its free time.
+_FREE_TIME = itemgetter(1)
 
 
 class RtOpexScheduler:
@@ -89,6 +95,15 @@ class RtOpexScheduler:
         planner=None,
         trace: Optional[RunTrace] = None,
     ):
+        if config.cores_per_bs < 2:
+            # With one core per cell a subframe's reservation (its core
+            # is held to its deadline, 2 ms after air time) outlasts the
+            # next arrival on the same core, so two subframes would run
+            # on it at once.  The paper's Tmax > 1 ms needs at least two
+            # cores per cell anyway.
+            raise ValueError(
+                f"rt-opex needs cores_per_bs >= 2, got {config.cores_per_bs}"
+            )
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.batch_overhead_us = batch_overhead_us
@@ -119,6 +134,12 @@ class RtOpexScheduler:
         records: List[SubframeRecord] = []
         busy: Dict[int, float] = {}
         trace = self.trace
+        rng = self.rng
+        draw_remote_noise = self.remote_noise.draw_one
+        planner = self.planner
+        batch_overhead_us = self.batch_overhead_us
+        subtask_overhead_us = self.subtask_overhead_us
+        flag_patience_us = self.flag_patience_us
         sim = Simulator()
         # Migration batch ids, stamped into the planned/executed/returned
         # events so the exporters can link one batch's three instants
@@ -133,13 +154,14 @@ class RtOpexScheduler:
         # Actual arrival times per core: the preemption instants for
         # migrated batches (equals the planned activations when the
         # transport delay is fixed).
-        core_arrivals: Dict[int, List[float]] = {c: [] for c in range(num_cores)}
+        cores_per_bs = config.cores_per_bs
+        core_arrivals: List[List[float]] = [[] for _ in range(num_cores)]
         ordered_jobs = arrival_order(jobs)
-        for job in ordered_jobs:
-            core = assigned_core_for(job, config.cores_per_bs)
+        job_cores = [assigned_core_for(job, cores_per_bs) for job in ordered_jobs]
+        for job, core in zip(ordered_jobs, job_cores):
             core_arrivals[core].append(job.arrival_us)
-        for core in sorted(core_arrivals):
-            core_arrivals[core].sort()
+        for arrivals in core_arrivals:
+            arrivals.sort()
 
         # Index of each core's next not-yet-dispatched arrival.  The
         # preemption horizon must come from this cursor, not from a
@@ -153,8 +175,7 @@ class RtOpexScheduler:
         #: Next pending arrival per core (``inf`` once the trace is
         #: exhausted) — write-through so planning never searches.
         core_arrival = [
-            core_arrivals[c][0] if core_arrivals[c] else math.inf
-            for c in range(num_cores)
+            arrivals[0] if arrivals else math.inf for arrivals in core_arrivals
         ]
 
         # Donor-window memoization: a core's free window can only change
@@ -171,6 +192,10 @@ class RtOpexScheduler:
         core_epoch = [0] * num_cores
         window_epoch = [-1] * num_cores
         window_start = [0.0] * num_cores
+        # Batch start per core, written by ``free_windows`` for every
+        # window it returns; the planner only assigns returned windows,
+        # so a stale entry is never read.
+        batch_start = [0.0] * num_cores
         # Past the arrival trace the preemption horizon comes from the
         # closed-form partitioned rule; the last value is cached per
         # core and revalidated against the activation period instead of
@@ -178,26 +203,33 @@ class RtOpexScheduler:
         # so a cached value is still correct iff start lies within one
         # period below it).
         closed_act = [0.0] * num_cores
-        cores_per_bs = config.cores_per_bs
         transport = config.transport_latency_us
         activation_period = cores_per_bs * SUBFRAME_US
 
         # -------------------------------------------------------- helpers
 
         def free_windows(
-            now: float, me: int, deadline: float
-        ) -> Tuple[List[Tuple[int, float]], Dict[int, float]]:
+            now: float, me: int, deadline: float, min_fck: float
+        ) -> List[Tuple[int, float]]:
             """Free time per waiting-state helper core, largest first.
 
             A helper qualifies when its *local* processing is done; a
             migrated batch already queued on it only delays the start
             (the waiting thread executes migrated subtasks back to
             back), so the new batch is booked behind it.  Returns the
-            ``(core, fck)`` list Algorithm 1 consumes plus each core's
-            batch start time.
+            ``(core, fck)`` list Algorithm 1 consumes and records each
+            returned core's batch start in ``batch_start``.
+
+            Windows shorter than ``min_fck`` (one subtask plus its
+            migration cost) are left out: every planner stops at the
+            first window, in this order, that cannot hold one subtask,
+            so they could never be assigned.
             """
             windows: List[Tuple[int, float]] = []
-            starts: Dict[int, float] = {}
+            if deadline - now < min_fck:
+                # Every window ends by the deadline and starts no
+                # earlier than ``now``, so none can reach ``min_fck``.
+                return windows
             for c in range(num_cores):
                 if c == me:
                     continue
@@ -236,11 +268,15 @@ class RtOpexScheduler:
                         closed_act[c] = activation
                 horizon = activation if activation < deadline else deadline
                 fck = horizon - start
-                if fck > 0:
+                if fck >= min_fck and fck > 0:
                     windows.append((c, fck))
-                    starts[c] = start
-            windows.sort(key=lambda item: (-item[1], item[0]))
-            return windows, starts
+                    batch_start[c] = start
+            if len(windows) > 1:
+                # Algorithm 1's order, largest window first and core id
+                # breaking ties: the list is built in core order and a
+                # reversed sort is still stable.
+                windows.sort(key=_FREE_TIME, reverse=True)
+            return windows
 
         def execute_batch(
             target: int,
@@ -248,11 +284,11 @@ class RtOpexScheduler:
             actual_durations: Sequence[float],
             planned_us: float,
             local_end: float,
-            task_name: str = "",
-            owner: int = -1,
-            bs_id: int = -1,
-            sf_index: int = -1,
-            batch_id: int = -1,
+            task_name: str,
+            owner: int,
+            bs_id: int,
+            sf_index: int,
+            batch_id: int,
         ) -> _BatchOutcome:
             """Book and execute a migrated batch on ``target``.
 
@@ -269,15 +305,15 @@ class RtOpexScheduler:
             # The owner polls the flag until the batch's planned end plus
             # a small patience margin for nominal kernel jitter; it will
             # not stall behind a helper hit by a long preemption.
-            flag_check_at = max(local_end, start + planned_us + self.flag_patience_us)
+            flag_check_at = max(local_end, start + planned_us + flag_patience_us)
             usable_until = min(preempt_at, flag_check_at)
 
             # Execution timeline on the helper, independent of whether
             # the owner ends up using the results.
-            cursor = start + self.batch_overhead_us + self.remote_noise.draw_one(self.rng)
+            cursor = start + batch_overhead_us + draw_remote_noise(rng)
             subtask_ends: List[float] = []
             for duration in actual_durations:
-                cursor = cursor + duration + self.subtask_overhead_us
+                cursor = cursor + duration + subtask_overhead_us
                 subtask_ends.append(cursor)
             # The helper burns cycles until it finishes or is preempted.
             booked_until = min(max(cursor, start), preempt_at)
@@ -296,7 +332,6 @@ class RtOpexScheduler:
                     ready_time = end
                 else:
                     break
-            recovered = list(actual_durations[completed:])
             if trace is not None:
                 trace.migration_executed(
                     target, task_name, start, booked_until,
@@ -307,7 +342,7 @@ class RtOpexScheduler:
                 # Per-subtask spans, nested in the batch span: fully
                 # executed subtasks plus the one the preemption cut.
                 for k, sub_end in enumerate(subtask_ends):
-                    sub_start = sub_end - actual_durations[k] - self.subtask_overhead_us
+                    sub_start = sub_end - actual_durations[k] - subtask_overhead_us
                     if sub_start >= booked_until:
                         break
                     trace.subtask(
@@ -318,40 +353,42 @@ class RtOpexScheduler:
                     )
             actual_total = (subtask_ends[completed - 1] - start) if completed else 0.0
             return _BatchOutcome(
-                target_core=target,
-                num_subtasks=len(actual_durations),
-                completed=completed,
-                ready_time=ready_time,
-                recovered_durations=tuple(recovered),
-                planned_us=planned_us,
-                actual_us=actual_total,
+                completed, ready_time, tuple(actual_durations[completed:]), actual_total
             )
 
         def run_parallelizable_stage(
             job: SubframeJob,
             record: SubframeRecord,
-            task_name: str,
+            task: TaskSpec,
+            tp_planned: float,
             now: float,
             me: int,
             enabled: bool,
         ) -> float:
-            """Execute one parallelizable task with migration; returns end time."""
-            task = job.work.task(task_name)
-            subtasks = task.subtasks
-            serial_total = task.serial_duration_us
-            if not subtasks or not enabled:
-                return now + serial_total
+            """Execute one parallelizable task with migration; returns end time.
 
-            tp_planned = max(s.planned_us for s in subtasks)
-            per_subtask_delta = self.batch_overhead_us / max(1, len(subtasks) // 2)
+            ``tp_planned`` is the stage's largest planning-time subtask
+            duration, Algorithm 1's ``tp``.
+            """
+            subtasks = task.subtasks
+            num_subtasks = len(subtasks)
+            if num_subtasks < 2 or not enabled:
+                # Every planner keeps the last subtask local, so a stage
+                # with fewer than two has nothing to migrate.
+                return now + task.serial_duration_us
+
+            per_subtask_delta = batch_overhead_us / max(1, num_subtasks // 2)
             # Algorithm 1 charges delta per subtask; amortize the batch
             # fetch over the largest batch R3 allows, plus the true
             # per-subtask increment.
-            delta = per_subtask_delta + self.subtask_overhead_us
-            windows, starts = free_windows(now + task.serial_us, me, job.deadline_us)
-            decision = self.planner(len(subtasks), tp_planned, delta, windows)
+            delta = per_subtask_delta + subtask_overhead_us
+            earliest_start = now + task.serial_us
+            windows = free_windows(
+                earliest_start, me, job.deadline_us, tp_planned + delta
+            )
+            decision = planner(num_subtasks, tp_planned, delta, windows)
             if not decision.assignments:
-                return now + serial_total
+                return now + task.serial_duration_us
 
             # Dominance guard (sec. 3.2.1 B): migration must leave the
             # thread no worse off than serial execution.  A batch whose
@@ -359,66 +396,62 @@ class RtOpexScheduler:
             # possibly delayed start behind already-queued batches) lands
             # after the serial baseline is not worth shipping — keep
             # those subtasks local instead.
-            earliest_start = now + task.serial_us
-            serial_end = now + serial_total
+            serial_end = now + task.serial_duration_us
             assignments = []
             for target, count in decision.assignments:
-                batch_start = max(earliest_start, starts.get(target, earliest_start))
-                planned = self.batch_overhead_us + count * (
-                    tp_planned + self.subtask_overhead_us
-                )
-                if batch_start + planned <= serial_end:
-                    assignments.append((target, count, batch_start, planned))
+                start = batch_start[target]
+                planned = batch_overhead_us + count * (tp_planned + subtask_overhead_us)
+                if start + planned <= serial_end:
+                    assignments.append((target, count, start, planned))
             if not assignments:
-                return now + serial_total
+                return serial_end
 
             # Local share: the serial prologue plus the kept subtasks.
             # The thread cannot predict which code block will need more
             # iterations, so the split is positional: the head of the
             # list stays local, the tail ships out.
+            task_name = task.name
             shipped = sum(count for _, count, _, _ in assignments)
-            local_count = len(subtasks) - shipped
+            local_count = num_subtasks - shipped
             local_end = now + task.serial_us + sum(
                 s.duration_us for s in subtasks[:local_count]
             )
             batch_ids = [next(batch_counter) for _ in assignments]
+            bs_id = record.bs_id
+            sf_index = record.index
             if trace is not None:
                 trace.migration_planned(
                     earliest_start, me, task_name, shipped,
                     [target for target, _, _, _ in assignments],
-                    bs_id=record.bs_id, sf_index=record.index,
+                    bs_id=bs_id, sf_index=sf_index,
                     batches=batch_ids,
                 )
 
             stage_end = local_end
-            cursor = 0
-            for batch_id, (target, num, batch_start, planned) in zip(
-                batch_ids, assignments
-            ):
+            first = local_count
+            for batch_id, (target, num, start, planned) in zip(batch_ids, assignments):
                 # Positional split: remote subtasks are the tail, taken
                 # contiguously in decision order.
-                first = local_count + cursor
-                cursor += num
                 durations = [s.duration_us for s in subtasks[first : first + num]]
+                first += num
                 outcome = execute_batch(
-                    target, batch_start, durations, planned, local_end,
-                    task_name=task_name, owner=me,
-                    bs_id=record.bs_id, sf_index=record.index,
-                    batch_id=batch_id,
+                    target, start, durations, planned, local_end,
+                    task_name, me, bs_id, sf_index, batch_id,
                 )
                 if outcome.completed:
                     stage_end = max(stage_end, outcome.ready_time)
                 # Recovery: recompute preempted subtasks locally, after
                 # everything else this thread was doing.
-                recovery = sum(outcome.recovered_durations)
+                recovered = outcome.recovered_durations
+                recovery = sum(recovered)
                 if recovery:
                     stage_end = max(stage_end, local_end) + recovery
                 if trace is not None:
                     trace.migration_returned(
                         max(local_end, outcome.ready_time), me, task_name,
                         completed=outcome.completed,
-                        recovered=len(outcome.recovered_durations),
-                        bs_id=record.bs_id, sf_index=record.index,
+                        recovered=len(recovered),
+                        bs_id=bs_id, sf_index=sf_index,
                         batch=batch_id,
                     )
                 record.migrations.append(
@@ -426,9 +459,9 @@ class RtOpexScheduler:
                         task=task_name,
                         num_subtasks=outcome.completed,
                         target_core=target,
-                        planned_us=outcome.planned_us,
+                        planned_us=planned,
                         actual_us=outcome.actual_us,
-                        recovered_subtasks=len(outcome.recovered_durations),
+                        recovered_subtasks=len(recovered),
                     )
                 )
             return stage_end
@@ -437,17 +470,17 @@ class RtOpexScheduler:
 
         def start_decode(job: SubframeJob, record: SubframeRecord, now: float, me: int) -> None:
             deadline = job.deadline_us
-            decode = job.work.task("decode")
-            optimistic = decode.serial_us + sum(
-                s.duration_us / l for s, l in zip(decode.subtasks, job.work.iterations)
-            ) if decode.subtasks else decode.serial_duration_us
-            if self.config.drop_on_slack_check and now + optimistic > deadline:
+            tables = job.work.tables
+            if config.drop_on_slack_check and now + tables.decode_lower_bound_us > deadline:
                 record.dropped = True
                 record.missed = True
                 record.drop_stage = "decode"
                 finalize(job, record, now, me)
                 return
-            end = run_parallelizable_stage(job, record, "decode", now, me, self.migrate_decode)
+            end = run_parallelizable_stage(
+                job, record, tables.decode, tables.decode_planned_us,
+                now, me, self.migrate_decode,
+            )
             if end > deadline:
                 record.missed = True
                 end = deadline
@@ -460,13 +493,13 @@ class RtOpexScheduler:
 
         def finalize(job: SubframeJob, record: SubframeRecord, finish: float, me: int) -> None:
             record.finish_us = finish
-            slot = job.subframe.index % config.cores_per_bs
+            sf = job.subframe
             activation = next_partitioned_activation(
-                job.subframe.bs_id,
-                slot,
+                sf.bs_id,
+                sf.index % cores_per_bs,
                 finish,
-                config.cores_per_bs,
-                config.transport_latency_us,
+                cores_per_bs,
+                transport,
             )
             record.gap_us = max(0.0, activation - finish)
             if record.dropped:
@@ -489,9 +522,8 @@ class RtOpexScheduler:
                     usable=not record.dropped,
                 )
 
-        def arrive(job: SubframeJob) -> None:
+        def arrive(job: SubframeJob, me: int) -> None:
             sf = job.subframe
-            me = assigned_core_for(job, config.cores_per_bs)
             # This arrival is being dispatched: the next preemption
             # barrier on this core is the one after it.
             idx = arrival_cursor[me] = arrival_cursor[me] + 1
@@ -499,24 +531,27 @@ class RtOpexScheduler:
             core_arrival[me] = arrivals[idx] if idx < len(arrivals) else math.inf
             record = record_for(job, core_id=me)
             records.append(record)
-            now = max(job.arrival_us, busy_until[me])
-            record.queue_delay_us = now - job.arrival_us
+            arrival = job.arrival_us
+            deadline = job.deadline_us
+            now = max(arrival, busy_until[me])
+            record.queue_delay_us = now - arrival
             record.start_us = now
             if trace is not None:
-                trace.arrival(job.arrival_us, me, sf.bs_id, sf.index)
+                trace.arrival(arrival, me, sf.bs_id, sf.index)
             # The arrival preempts any migrated batch on this core.
             remote_cursor[me] = min(remote_cursor[me], now)
-            busy_until[me] = job.deadline_us  # refined when finish is known
+            busy_until[me] = deadline  # refined when finish is known
             core_epoch[me] += 1
 
             # Serial-only jobs (downlink Tx encodes) have no
             # parallelizable stages: run to completion on this core.
-            task_names = {t.name for t in job.work.tasks}
-            if "fft" not in task_names or "decode" not in task_names:
+            tables = job.work.tables
+            fft = tables.fft
+            if fft is None or tables.decode is None:
                 end = now + job.serial_time_us
-                if end > job.deadline_us:
+                if end > deadline:
                     record.missed = True
-                    end = job.deadline_us
+                    end = deadline
                 note_busy(me, now, end)
                 if trace is not None:
                     trace.task(me, "serial", now, end, sf.bs_id, sf.index)
@@ -524,26 +559,27 @@ class RtOpexScheduler:
                 return
 
             # FFT stage (parallelizable).
-            fft_end = run_parallelizable_stage(job, record, "fft", now, me, self.migrate_fft)
+            fft_end = run_parallelizable_stage(
+                job, record, fft, tables.fft_planned_us, now, me, self.migrate_fft
+            )
             # demod stage: serial; the platform error E lands here.
-            demod_end = fft_end + job.work.task("demod").serial_duration_us + job.noise_us
-            deadline = job.deadline_us
+            demod_end = fft_end + tables.demod.serial_duration_us + job.noise_us
             note_busy(me, now, min(fft_end, deadline))
             note_busy(me, fft_end, min(demod_end, deadline))
             if trace is not None:
                 trace.task(me, "fft", now, min(fft_end, deadline), sf.bs_id, sf.index)
                 trace.task(me, "demod", fft_end, min(demod_end, deadline), sf.bs_id, sf.index)
-            if demod_end > job.deadline_us:
+            if demod_end > deadline:
                 record.missed = True
-                finalize(job, record, job.deadline_us, me)
+                finalize(job, record, deadline, me)
                 return
             if demod_end > busy_until[me]:
                 busy_until[me] = demod_end
                 core_epoch[me] += 1
             sim.schedule(demod_end, lambda: start_decode(job, record, demod_end, me), priority=1)
 
-        for job in ordered_jobs:
-            sim.schedule(job.arrival_us, lambda j=job: arrive(j))
+        for job, core in zip(ordered_jobs, job_cores):
+            sim.schedule(job.arrival_us, lambda j=job, c=core: arrive(j, c))
         sim.run()
         if trace is not None:
             trace.meta["sim"] = sim.stats()

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import insort
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -112,11 +113,17 @@ class SharedQueueScheduler:
         trace = self.trace
         rng = self.rng
         num_cores = self.config.total_cores
-        core_idle: List[bool] = [True] * num_cores
+        # Idle cores, ascending: kept in order as cores go busy and come
+        # back, so the random pick indexes the same list a scan of every
+        # core would build.
+        idle: List[int] = list(range(num_cores))
         queue: List[_Entry] = []
         records: List[SubframeRecord] = []
         busy: Dict[int, float] = {}
         seq = itertools.count(1)
+        pop_next = self._pop_next
+        dispatch_overhead_us = self.dispatch_overhead_us
+        cache_penalty = self.cache.penalty
         self.cache.reset()
 
         def drop(record: SubframeRecord, stage: str) -> None:
@@ -132,36 +139,36 @@ class SharedQueueScheduler:
                 )
 
         def try_dispatch() -> None:
-            while queue:
-                idle = [c for c in range(num_cores) if core_idle[c]]
-                if not idle:
-                    return
+            while queue and idle:
                 # The waiting processing threads all block on the same
                 # semaphore; which one wakes first is up to the kernel, so
                 # the dispatched core is effectively arbitrary.  (A
                 # deterministic lowest-index pick would accidentally
                 # recreate per-BS affinity and hide the cache thrashing
                 # the paper observes.)  Drawn before the pop.
-                core = int(idle[rng.integers(0, len(idle))])
-                entry = self._pop_next(queue, sim.now)
+                pick = int(rng.integers(0, len(idle)))
+                core = idle[pick]
+                entry = pop_next(queue, sim.now)
                 job, record = entry.job, entry.record
-                start = sim.now + self.dispatch_overhead_us
+                start = sim.now + dispatch_overhead_us
+                deadline = entry.deadline_us
                 # A queued subframe whose deadline cannot possibly be met
                 # any more is dropped by the dispatcher (before any cache
                 # penalty is drawn for it).
-                if start + job.optimistic_time_us > job.deadline_us:
+                if start + job.work.tables.optimistic_time_us > deadline:
                     drop(record, "dispatch")
                     continue
-                core_idle[core] = False
+                del idle[pick]
+                sf = job.subframe
                 record.core_id = core
                 record.start_us = start
                 record.queue_delay_us = start - job.arrival_us
-                penalty = self.cache.penalty(core, job.subframe.bs_id, job.subframe.index, rng)
+                penalty = cache_penalty(core, sf.bs_id, sf.index, rng)
                 record.cache_penalty_us = penalty
                 finish = start + job.serial_time_us + penalty
-                if finish > job.deadline_us:
+                if finish > deadline:
                     record.missed = True
-                    finish = job.deadline_us  # terminated at the deadline
+                    finish = deadline  # terminated at the deadline
                 record.finish_us = finish
                 if finish > start:
                     busy[core] = busy.get(core, 0.0) + (finish - start)
@@ -176,7 +183,7 @@ class SharedQueueScheduler:
                     )
 
                 def complete(core: int = core) -> None:
-                    core_idle[core] = True
+                    insort(idle, core)
                     try_dispatch()
 
                 sim.schedule(finish, complete)
@@ -239,7 +246,7 @@ class DelayAwareScheduler(SharedQueueScheduler):
     def _priority(self, job: SubframeJob, now: float) -> float:
         """M-LWDF-style urgency of dispatching ``job`` at ``now``."""
         hol_delay = max(0.0, now - job.subframe.air_time_us)
-        criticality = (hol_delay + job.optimistic_time_us) / job.delay_budget_us
+        criticality = (hol_delay + job.work.tables.optimistic_time_us) / job.delay_budget_us
         efficiency = throughput_mbps(job.subframe.grant.mcs) / self._peak_throughput
         return criticality * (1.0 + efficiency)
 

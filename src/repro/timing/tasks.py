@@ -17,11 +17,11 @@ recovery path.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
-from typing import List, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.lazy import lazy_property
 from repro.lte.subframe import UplinkGrant
 from repro.timing.model import DurationTables, LinearTimingModel
 
@@ -58,19 +58,55 @@ class TaskSpec:
     subtasks: tuple = ()
     parallelizable: bool = False
 
-    @cached_property
+    @lazy_property
     def serial_duration_us(self) -> float:
         """Time to execute the whole task on a single core.
 
         Cached: the schedulers read this at every stage boundary and
-        the specs are immutable (``cached_property`` writes straight to
-        ``__dict__``, which a frozen dataclass permits).
+        the specs are immutable.
         """
         return self.serial_us + sum(s.duration_us for s in self.subtasks)
 
     @property
     def num_subtasks(self) -> int:
         return len(self.subtasks)
+
+
+class WorkTables(NamedTuple):
+    """Job-invariant values of one :class:`SubframeWork`.
+
+    Works are interned (one object per distinct MCS, iteration vector
+    and CRC outcome), so the schedulers read these from the work instead
+    of recomputing them per job.  Every value is the exact expression
+    the schedulers used to evaluate per job.  Scalars and stage
+    references only: a per-subtask tuple would cost memory on workloads
+    whose works are not shared, and one table rather than a cached field
+    per value keeps the work's ``__dict__`` small.
+    """
+
+    #: The stages named ``fft``, ``demod`` and ``decode`` (``None`` when
+    #: absent, as in downlink encodes).
+    fft: Optional[TaskSpec]
+    demod: Optional[TaskSpec]
+    decode: Optional[TaskSpec]
+    #: Largest planning-time subtask duration of the fft / decode stage
+    #: (0 without subtasks): RT-OPEX's ``tp`` for Algorithm 1.
+    fft_planned_us: float
+    decode_planned_us: float
+    #: Whole-work lower bound for the shared-queue slack check: the last
+    #: stage's subtasks all at ``min(d / l)``, the other stages at their
+    #: single-core time.  Rounds differently from the bound below.
+    optimistic_time_us: float
+    #: Decode lower bound for the partitioned and RT-OPEX slack check:
+    #: ``sum(d / l)``, one iteration per code block (``None`` without a
+    #: decode stage).
+    decode_lower_bound_us: Optional[float]
+
+
+def _planned_max(task: Optional[TaskSpec]) -> float:
+    if task is None:
+        return 0.0
+    return max((s.planned_us for s in task.subtasks), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -81,14 +117,45 @@ class SubframeWork:
     iterations: tuple  # per-code-block turbo iterations actually needed
     crc_pass: bool
 
-    @cached_property
+    @lazy_property
     def total_serial_us(self) -> float:
         """Single-core processing time — Eq. (1) without the error term."""
         return sum(t.serial_duration_us for t in self.tasks)
 
-    @property
-    def decode_task(self) -> TaskSpec:
-        return self.tasks[-1]
+    @lazy_property
+    def tables(self) -> WorkTables:
+        """The job-invariant values the schedulers read, computed once.
+
+        Separate from :attr:`total_serial_us`, which provisioning reads
+        for many works that never reach a scheduler.
+        """
+        def stage(name: str) -> Optional[TaskSpec]:
+            return next((t for t in self.tasks if t.name == name), None)
+
+        fft = stage("fft")
+        decode = stage("decode")
+        last = self.tasks[-1]
+        best_subtask = min((s.duration_us / i for s, i in
+                            zip(last.subtasks, self.iterations)), default=0.0)
+        if last.subtasks:
+            optimistic_decode = last.serial_us + best_subtask * len(last.subtasks)
+        else:
+            optimistic_decode = last.serial_us
+        other = sum(t.serial_duration_us for t in self.tasks[:-1])
+        lower_bound: Optional[float] = None
+        if decode is not None:
+            lower_bound = decode.serial_us + sum(
+                s.duration_us / l for s, l in zip(decode.subtasks, self.iterations)
+            ) if decode.subtasks else decode.serial_duration_us
+        return WorkTables(
+            fft=fft,
+            demod=stage("demod"),
+            decode=decode,
+            fft_planned_us=_planned_max(fft),
+            decode_planned_us=_planned_max(decode),
+            optimistic_time_us=other + optimistic_decode,
+            decode_lower_bound_us=lower_bound,
+        )
 
     def task(self, name: str) -> TaskSpec:
         for t in self.tasks:

@@ -21,12 +21,12 @@ tables the duration oracle computed with the exact scalar formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.constants import SUBFRAME_US
+from repro.lazy import lazy_property
 from repro.lte.grid import GridConfig
 from repro.lte.subframe import Subframe, interned_grant
 from repro.sched.base import CRanConfig, SubframeJob
@@ -77,7 +77,7 @@ class WorkloadArrays:
     def num_jobs(self) -> int:
         return len(self.mcs)
 
-    @cached_property
+    @lazy_property
     def serial_us(self) -> np.ndarray:
         """Per-subframe single-core time: ``SubframeJob.serial_time_us`` as a column.
 

@@ -38,6 +38,11 @@ class TestRegistry:
         with pytest.raises(ValueError):
             run_experiment("table1", scale=0.0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_scale(self, scale):
+        with pytest.raises(ValueError, match="positive finite"):
+            run_experiment("fig15", scale=scale)
+
     def test_outputs_render(self, outputs):
         for output in outputs.values():
             assert output.text

@@ -111,6 +111,23 @@ class TestSerialRunner:
             ExperimentRunner(jobs=1).run(["fig7"], scale=0.0)
 
     @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0])
+    def test_bad_scale_rejected_before_any_unit(self, scratch_registry, jobs, scale):
+        calls = []
+
+        @register("_t-scale", "records its calls")
+        def _run(scale, seed):
+            calls.append(scale)
+            return ExperimentOutput("_t-scale", "t", "t", {})
+
+        finished = []
+        with pytest.raises(ValueError, match="positive finite"):
+            ExperimentRunner(jobs=jobs).run(
+                ["_t-scale"], scale=scale, seed=1, on_result=finished.append
+            )
+        assert calls == [] and finished == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_negative_seed_rejected_before_any_unit(self, scratch_registry, jobs):
         calls = []
 

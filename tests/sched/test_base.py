@@ -30,6 +30,16 @@ class TestCRanConfig:
         with pytest.raises(ValueError):
             CRanConfig(cores_per_bs=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_latency_and_snr_rejected(self, value):
+        # Regression: a NaN RTT/2 was accepted and made Tmax NaN.
+        with pytest.raises(ValueError, match="transport_latency_us"):
+            CRanConfig(transport_latency_us=value)
+        with pytest.raises(ValueError, match="snr_db"):
+            CRanConfig(snr_db=value)
+        with pytest.raises(ValueError, match="snr_db"):
+            CRanConfig(snr_db=-value)
+
 
 class TestPlacement:
     def test_paper_mapping_rule(self):

@@ -3,10 +3,10 @@
 These tests generate arbitrary (but valid) workloads and check the
 invariants every scheduler must uphold regardless of load pattern:
 conservation, causality, deadline enforcement, and RT-OPEX's
-no-worse-than-baseline guarantee.  The shared-queue schedulers and
-CloudIQ also run under the virtual-time sanitizer; the shared-queue
-ones on per-job delay budgets, few cores and small ring buffers, so
-both eviction rules are exercised.
+no-worse-than-baseline guarantee.  RT-OPEX (under every migration
+planner), the shared-queue schedulers and CloudIQ also run under the
+virtual-time sanitizer; the shared-queue ones on per-job delay budgets,
+few cores and small ring buffers, so both eviction rules are exercised.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from repro.sched import (
     PranScheduler,
     RtOpexScheduler,
 )
+from repro.sched.migration import plan_migrate_all, plan_migration, plan_steal_half
 from repro.sched.runner import run_scheduler
 
 from tests.helpers import make_job, with_budgets
@@ -36,6 +37,7 @@ job_specs = st.lists(
 )
 
 rtts = st.sampled_from([400.0, 550.0, 700.0])
+PLANNERS = [plan_migration, plan_steal_half, plan_migrate_all]
 
 
 # Per-job delay budgets (µs from air time), as the service classes set.
@@ -123,12 +125,18 @@ class TestSchedulerFuzz:
         assert result.sanitizer_report["events_checked"] > 0
         check_invariants(result, jobs)
 
-    @given(job_specs, rtts)
-    @settings(max_examples=40, deadline=None)
-    def test_rtopex_invariants(self, specs, rtt):
+    @given(job_specs, rtts, st.sampled_from(PLANNERS), st.sampled_from([2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_rtopex_invariants(self, specs, rtt, planner, cores_per_bs):
+        # Sanitized, under every migration planner and at two and three
+        # cores per cell: the free-window filter relies on each
+        # planner's stopping rule, and the core layout sets the windows.
         jobs = build_jobs(specs, rtt)
-        cfg = CRanConfig(transport_latency_us=rtt)
-        result = RtOpexScheduler(cfg, rng=np.random.default_rng(0)).run(jobs)
+        cfg = CRanConfig(transport_latency_us=rtt, cores_per_bs=cores_per_bs)
+        result = run_scheduler(
+            "rt-opex", cfg, jobs, seed=0, sanitize=True, planner=planner
+        )
+        assert result.sanitizer_report["events_checked"] > 0
         check_invariants(result, jobs)
 
     @given(job_specs, rtts)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sched import CRanConfig, PartitionedScheduler, RtOpexScheduler
+from repro.sched.runner import build_workload, run_scheduler
 from repro.timing.platform import PlatformNoiseModel
 
 from tests.helpers import make_job
@@ -164,3 +165,25 @@ class TestOverheadSensitivity:
         a = RtOpexScheduler(small_config, rng=np.random.default_rng(5)).run(small_workload)
         b = RtOpexScheduler(small_config, rng=np.random.default_rng(5)).run(small_workload)
         assert [r.finish_us for r in a.records] == [r.finish_us for r in b.records]
+
+
+class TestCoreFloor:
+    def test_one_core_per_cell_rejected(self):
+        # With one core per cell a subframe's deadline reservation
+        # outlasts the next arrival on that core: the sanitizer used to
+        # catch decode of (2, 12) overlapping (2, 13) on core 2.
+        cfg = CRanConfig(num_basestations=4, cores_per_bs=1, transport_latency_us=400.0)
+        jobs = build_workload(cfg, 300, seed=5)
+        for migrate in (True, False):
+            with pytest.raises(ValueError, match="cores_per_bs >= 2"):
+                run_scheduler(
+                    "rt-opex", cfg, jobs, sanitize=True,
+                    migrate_fft=migrate, migrate_decode=migrate,
+                )
+
+    def test_two_cores_per_cell_pass_the_sanitizer(self):
+        cfg = CRanConfig(num_basestations=4, cores_per_bs=2, transport_latency_us=400.0)
+        jobs = build_workload(cfg, 300, seed=5)
+        result = run_scheduler("rt-opex", cfg, jobs, sanitize=True)
+        assert result.sanitizer_report["events_checked"] > 0
+        assert len(result.records) == len(jobs)

@@ -54,6 +54,16 @@ class TestCli:
         assert main(["fig4", "--scale", "0", "--no-cache"]) == 2
         assert "--scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["fig4", "fig15"])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+    def test_non_finite_scale_is_a_usage_error(self, capsys, experiment, scale):
+        # Regression: NaN/inf passed the ``scale <= 0`` check; fig15 then
+        # died in scaled_subframes with a traceback, fig4 "succeeded".
+        assert main([experiment, f"--scale={scale}", "--no-cache"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: --scale must be a positive finite number")
+        assert len(err.splitlines()) == 1
+
     def test_negative_seed_is_a_usage_error(self, capsys):
         # Regression: a negative seed passed validation and died deep in
         # numpy.SeedSequence with a traceback and exit 1.
